@@ -5,7 +5,9 @@ document it writes to ``--result``.  Modes:
 
 * ``probe`` — import the library and build the inputs, then stop (a
   set-up time sample);
-* ``run`` — regenerate the artefact and check it, untraced;
+* ``run`` — regenerate the artefact and check it, untraced except for
+  the step clock of ``steps.py`` (one wrapper on the workload's steps,
+  and a reference loop after each);
 * ``trace`` — the same with every layer boundary traced (see
   ``layertrace.py``);
 * ``twin`` — regenerate the workload's serial twin (the same artefact
@@ -55,35 +57,42 @@ def import_library():
     import repro.reporting.experiments  # noqa: F401
 
 
-def traced_worker_command(stock, work: Path):
+def instrumented_worker_command(stock, mode: str, work: Path):
     """``worker_command`` that starts dist workers through
-    ``dist_worker.py`` so they trace themselves into ``work``."""
+    ``dist_worker.py`` in ``mode`` (``trace`` or ``steps``), so they
+    write their spans or step times into ``work``."""
 
     def command(*args, **kwargs):
         argv = stock(*args, **kwargs)
         if argv[1:3] != ["-m", "repro"]:
             raise RuntimeError(f"unexpected worker command {argv!r}")
         out = work / f"worker-{len(list(work.glob('worker-*')))}.json"
-        return [argv[0], str(BENCH_DIR / "dist_worker.py"), str(out)] + argv[3:]
+        return [argv[0], str(BENCH_DIR / "dist_worker.py"), mode, str(out)] + argv[3:]
 
     return command
 
 
 def regenerate(args, workload, inputs) -> dict:
     import layertrace
+    import steps
+    from repro.dist import submit as dist_submit
     from workloads import Capture, install_capture, install_counting_os
 
     capture = Capture()
     install_capture(capture)
     counting = install_counting_os()
-    tracer = None
+    tracer = clock = None
     if args.mode == "trace":
-        from repro.dist import submit as dist_submit
-
         tracer = layertrace.Tracer(f"op-{os.getpid()}")
         layertrace.install(tracer)
-        dist_submit.worker_command = traced_worker_command(
-            dist_submit.worker_command, args.work
+        dist_submit.worker_command = instrumented_worker_command(
+            dist_submit.worker_command, "trace", args.work
+        )
+    elif args.mode == "run":
+        clock = steps.StepClock()
+        steps.install(clock, workload.step)
+        dist_submit.worker_command = instrumented_worker_command(
+            dist_submit.worker_command, "steps", args.work
         )
     references = json.loads((BENCH_DIR / "references.json").read_text())
     expected = references.get(args.workload, {}).get(str(args.seed))
@@ -106,6 +115,14 @@ def regenerate(args, workload, inputs) -> dict:
         "units": len(capture.units),
         "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     }
+    if clock is not None:
+        timed_steps = list(clock.steps)
+        for path in sorted(args.work.glob("worker-*.json")):
+            timed_steps += json.loads(path.read_text())["steps"]
+        # The reference loops are the benchmark's, not the program's work.
+        result["wall_s"] -= sum(ref for _, ref in timed_steps)
+        result.update(steps.norm_wall(result["wall_s"], timed_steps))
+        result["steps"] = len(timed_steps)
     if tracer is not None:
         dumps = [tracer.document()]
         for path in sorted(args.work.glob("worker-*.json")):

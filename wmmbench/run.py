@@ -10,8 +10,12 @@ The run keeps starting operations while the next one should still end
 within ``--seconds``, then prints a report and, as its last line, one
 JSON object with ``correct``, ``attempted``, ``failed`` and ``metrics``.
 
-* ``--trace 0`` reports the end-to-end metrics: ``setup_s``,
-  ``wall_s``, ``sim_runs_per_s`` and ``peak_rss_mb`` (medians).
+* ``--trace 0`` reports the end-to-end metrics, medians over the run:
+  ``setup_s``, ``norm_wall`` (the host-normalised wall time of
+  ``steps.py``, in thousands of reference loops), ``norm_sim_runs``
+  (simulated runs per thousand reference loops) and ``peak_rss_mb``.
+  The report lines above the JSON also give the median ``wall_s`` and
+  ``sim_runs_per_s`` in host seconds, which follow the host's load.
 * ``--trace 1`` alternates untraced and traced operations and reports
   the per-layer metrics of ``layertrace.PER_LAYER``; the tracing
   overhead is the traced median wall time minus the untraced one.
@@ -38,15 +42,17 @@ from workloads import WORKLOADS
 
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
-#: Set-up-only interpreters started per run, after one warm-up.
-PROBES = 4
+#: Set-up-only interpreters started before the first regeneration,
+#: after one warm-up; one more follows every regeneration, so set-up
+#: samples spread over the whole run.
+PROBES = 2
 #: No operation may end later than this after the run started.
 RUN_LIMIT_S = 165.0
 
 END_TO_END = (
     ("setup_s", "s"),
-    ("wall_s", "s"),
-    ("sim_runs_per_s", "1/s"),
+    ("norm_wall", "kref"),
+    ("norm_sim_runs", "1/kref"),
     ("peak_rss_mb", "MB"),
 )
 
@@ -135,21 +141,26 @@ def quartiles(values):
 
 
 def end_to_end(setups, runs) -> dict:
-    timed = [r for r in runs if "wall_s" in r]
-    walls = [r["wall_s"] for r in timed] or [r["elapsed"] for r in runs]
+    """The end-to-end metrics, plus the host-second timings that are
+    reported but not gated, each with its samples."""
+    timed = [r for r in runs if r["ok"]]
     samples = {
         "setup_s": setups,
-        "wall_s": walls,
-        "sim_runs_per_s": [r["sim_runs"] / r["wall_s"] for r in timed] or [0.0],
+        "norm_wall": [r["norm_wall"] for r in timed] or [0.0],
+        "norm_sim_runs": [r["sim_runs"] / r["norm_wall"] for r in timed] or [0.0],
         "peak_rss_mb": [r["peak_rss_mb"] for r in timed] or [0.0],
+        "wall_s": [r["wall_s"] for r in timed] or [0.0],
+        "sim_runs_per_s": [r["sim_runs"] / r["wall_s"] for r in timed] or [0.0],
+        "ref_loop_ms": [1000 * r["ref_s"] for r in timed] or [0.0],
     }
+    units = dict(END_TO_END, wall_s="s", sim_runs_per_s="1/s", ref_loop_ms="ms")
     return {
         name: {
-            "value": statistics.median(samples[name]),
-            "unit": unit,
-            "samples": samples[name],
+            "value": statistics.median(values),
+            "unit": units[name],
+            "samples": values,
         }
-        for name, unit in END_TO_END
+        for name, values in samples.items()
     }
 
 
@@ -200,16 +211,19 @@ def main(argv=None) -> int:
 
     modes = itertools.cycle(("run", "trace") if args.trace else ("run",))
     ops = []
+    cycles = []  # seconds of each regeneration plus its set-up probe
     while True:
+        cycle_start = time.monotonic()
         ops.append(op(next(modes), expect))
-        durations = [r["elapsed"] for r in ops]
+        probes.append(op("probe"))
         now = time.monotonic()
+        cycles.append(now - cycle_start)
         both_seen = not args.trace or len(ops) >= 2
-        # Start another operation only if it should end within half an
-        # operation of ``--seconds``, so runs average ``--seconds``.
-        if both_seen and now - start + 0.5 * statistics.mean(durations) > args.seconds:
+        # Start another cycle only if it should end within half a cycle
+        # of ``--seconds``, so runs average ``--seconds``.
+        if both_seen and now - start + 0.5 * statistics.mean(cycles) > args.seconds:
             break
-        if now + 1.25 * max(durations) > deadline:
+        if now + 1.25 * max(cycles) > deadline:
             break
     regenerations += ops
 
@@ -230,6 +244,7 @@ def main(argv=None) -> int:
         print(
             f"  {r['mode']:5s} ok={r['ok']!s:5s} elapsed={r['elapsed']:.3f}s "
             f"wall={r.get('wall_s', float('nan')):.3f}s "
+            f"norm_wall={r.get('norm_wall', float('nan')):.3f}kref "
             f"digest={r.get('digest', '-')[:12]}"
         )
     for r in failed + broken_probes:
@@ -240,6 +255,8 @@ def main(argv=None) -> int:
             q1, q3 = quartiles(m.pop("samples"))
             spread = f"  (q1 {q1:.4f}, q3 {q3:.4f})"
         print(f"  {name:32s} {m['value']:14.4f} {m['unit']}{spread}")
+    if not args.trace:
+        metrics = {name: metrics[name] for name, _ in END_TO_END}
 
     summary = {
         "correct": not failed and not broken_probes,

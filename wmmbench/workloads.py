@@ -144,6 +144,8 @@ class Workload:
     name = ""
     #: Extra serial regeneration whose digest every op must match.
     serial_twin: "Workload | None" = None
+    #: The steps ``steps.py`` times for the host-normalised wall time.
+    step = "unit"
 
     def inputs(self, seed: int, work: Path) -> Inputs:
         raise NotImplementedError
@@ -163,6 +165,9 @@ class Campaign(Workload):
     x 12 runs = 480 app runs."""
 
     name = "campaign"
+    #: A work unit here is a whole (app, environment) cell of about
+    #: 0.1 s; its 17 engine launches of about 8 ms are finer steps.
+    step = "launch"
 
     def inputs(self, seed, work):
         from repro.scale import get_scale
