@@ -48,7 +48,7 @@ from .compile import (
 )
 from .vector import run_litmus_vector
 from .sc import forbidden_sc_reachable, sc_outcomes
-from .results import LitmusResult, Tally
+from .results import LitmusResult
 
 #: Runner dispatch: every litmus backend, keyed by its CLI/ledger name.
 #: All three share one signature (chip, test, distance, stress_spec,
@@ -93,5 +93,4 @@ __all__ = [
     "forbidden_sc_reachable",
     "sc_outcomes",
     "LitmusResult",
-    "Tally",
 ]

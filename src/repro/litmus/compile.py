@@ -33,20 +33,15 @@ from ..gpu.addresses import Buffer
 from ..gpu.engine import Engine
 from ..gpu.kernel import Kernel, LaunchConfig
 from ..gpu.memory import MemorySystem
-from ..parallel import (
-    LitmusShard,
-    ParallelConfig,
-    merge_litmus_shards,
-    parallel_map,
-    resolve_config,
-    shard_ranges,
-)
+from ..parallel import ParallelConfig
 from ..rng import BufferedRNG, derive_seed, make_rng
 from .results import LitmusResult
 from .runner import (
     _ROUNDS,
     LitmusInstance,
     OutcomeObservation,
+    _Histogram,
+    _run_spans,
     written_locs,
 )
 from .tests import LitmusTest
@@ -207,14 +202,14 @@ def compile_test(
 
 def _engine_span(
     profile: HardwareProfile,
-    test: LitmusTest,
-    distance: int,
+    instance: LitmusInstance,
     stress_spec,
     seed: int,
     randomise: bool,
     start: int,
     stop: int,
     rounds: int = _ROUNDS,
+    record=None,
 ) -> int:
     """Weak count over compiled executions ``[start, stop)``.
 
@@ -223,18 +218,29 @@ def _engine_span(
     The engine backend derives from a distinct ``"engine"`` label — the
     two backends are statistically independent samples of the same
     model, not replays of one stream.
+
+    Without ``record`` an execution stops at its first weak round; with
+    it, every round runs and ``record(regs, mem)`` observes the round's
+    registers and final memory.
     """
-    compiled = compile_test(profile, test, distance)
+    test = instance.test
+    compiled = compile_test(profile, test, instance.distance)
     span_seed = derive_seed(
-        seed, profile.short_name, test.name, distance, "engine"
+        seed, profile.short_name, test.name, instance.distance, "engine"
     )
     scratch_base = compiled.scratch_base
     scratch_size = compiled.scratch_size
     n_warps = compiled.config.grid_dim
+    read = compiled.read_outcome
+    if record is not None:
+        def read(mem):
+            regs, final = compiled.read_outcome(mem)
+            record(regs, mem)
+            return regs, final
+
     weak = 0
     mem: MemorySystem | None = None
     engine: Engine | None = None
-    test_obj = compiled.test
     for i in range(start, stop):
         rng = BufferedRNG(make_rng(span_seed, i))
         field = stress_spec.build(profile, scratch_base, scratch_size, rng)
@@ -256,13 +262,16 @@ def _engine_span(
             mem.reset(stress=field, rng=rng)
             engine.rng = rng
         engine.n_stress_units = stress_spec.stress_units(n_warps, rng)
+        hit = False
         for _ in range(rounds):
             compiled.init_round(mem)
             engine.run(compiled.kernel, compiled.config)
-            regs, final = compiled.read_outcome(mem)
-            if test_obj.weak(regs, final or None):
-                weak += 1
-                break
+            regs, final = read(mem)
+            if test.weak(regs, final or None):
+                hit = True
+                if record is None:
+                    break
+        weak += hit
     return weak
 
 
@@ -278,78 +287,24 @@ def observed_outcomes_engine(
 ) -> OutcomeObservation:
     """Run the engine backend and record every round's final state.
 
-    Mirrors :func:`_engine_span` (same ``"engine"`` seed label, same
-    stress-unit draws, same kernel) but reads the final value of every
-    program-written location after each round instead of only the
-    condition's, and never breaks out of a round batch early.  The
-    engine raises on kernel timeout, so every round completes and
-    ``incomplete`` is always 0 here; the field exists for interface
-    parity with the direct collector.
+    :func:`_engine_span` with a hook that reads the final value of
+    every program-written location after each round.  The engine
+    raises on kernel timeout, so every round completes and
+    ``incomplete`` is always 0 here.
     """
-    compiled = compile_test(profile, test, distance)
-    span_seed = derive_seed(
-        seed, profile.short_name, test.name, distance, "engine"
-    )
-    scratch_base = compiled.scratch_base
-    scratch_size = compiled.scratch_size
-    n_warps = compiled.config.grid_dim
-    written = written_locs(test)
-    written_addrs = tuple(
-        (loc, compiled.instance.addr(loc)) for loc in written
-    )
-    test_obj = compiled.test
-    outcomes: dict = {}
-    weak = 0
-    mem: MemorySystem | None = None
-    engine: Engine | None = None
-    for i in range(executions):
-        rng = BufferedRNG(make_rng(span_seed, i))
-        field = stress_spec.build(profile, scratch_base, scratch_size, rng)
-        if mem is None:
-            mem = MemorySystem(profile, field, rng)
-            engine = Engine(
-                profile,
-                mem,
-                rng,
-                max_ticks=ENGINE_MAX_TICKS,
-                randomise=randomise,
-                raise_on_timeout=True,
-            )
-        else:
-            mem.reset(stress=field, rng=rng)
-            engine.rng = rng
-        engine.n_stress_units = stress_spec.stress_units(n_warps, rng)
-        hit = False
-        for _ in range(rounds):
-            compiled.init_round(mem)
-            engine.run(compiled.kernel, compiled.config)
-            regs, final = compiled.read_outcome(mem)
-            get = mem.mem.get
-            key = (
-                tuple(sorted(regs.items())),
-                tuple(sorted(
-                    (loc, get(addr, 0)) for loc, addr in written_addrs
-                )),
-            )
-            outcomes[key] = outcomes.get(key, 0) + 1
-            if test_obj.weak(regs, final or None):
-                hit = True
-        if hit:
-            weak += 1
-    return OutcomeObservation(outcomes, weak, incomplete=0)
+    instance = LitmusInstance.layout(profile, test, distance)
+    written = tuple((loc, instance.addr(loc)) for loc in written_locs(test))
+    histogram = _Histogram(test)
 
+    def record(regs, mem):
+        get = mem.mem.get
+        histogram(regs, {loc: get(addr, 0) for loc, addr in written})
 
-def _engine_shard(args: tuple) -> LitmusShard:
-    """Process-pool worker: one shard of a compiled litmus run."""
-    (
-        profile, test, distance, stress_spec, seed, randomise,
-        start, stop, rounds,
-    ) = args
     weak = _engine_span(
-        profile, test, distance, stress_spec, seed, randomise,
-        start, stop, rounds,
+        profile, instance, stress_spec, seed, randomise,
+        0, executions, rounds, record,
     )
-    return LitmusShard(start=start, stop=stop, weak=weak)
+    return histogram.observation(weak)
 
 
 def run_litmus_compiled(
@@ -370,33 +325,9 @@ def run_litmus_compiled(
     weak when any round exhibits the forbidden outcome, exactly like
     the direct backend.
     """
-    config = resolve_config(parallel)
-    if config.serial:
-        weak = _engine_span(
-            profile, test, distance, stress_spec, seed, randomise,
-            0, executions, rounds,
-        )
-    else:
-        shards = parallel_map(
-            _engine_shard,
-            [
-                (
-                    profile, test, distance, stress_spec, seed,
-                    randomise, start, stop, rounds,
-                )
-                for start, stop in shard_ranges(executions, config)
-            ],
-            config,
-        )
-        weak = merge_litmus_shards(shards, executions)
-    locations = tuple(getattr(stress_spec, "locations", ()) or ())
-    return LitmusResult(
-        test=test.name,
-        distance=distance,
-        weak=weak,
-        executions=executions,
-        location=locations,
-        backend="engine",
+    return _run_spans(
+        _engine_span, "engine", profile, test, distance, stress_spec,
+        executions, seed, randomise, parallel, tail=(rounds,),
     )
 
 

@@ -31,7 +31,6 @@ from ..chips.profile import HardwareProfile
 from ..gpu.addresses import AddressSpace
 from ..gpu.events import STALL
 from ..gpu.memory import MemorySystem
-from ..gpu.pressure import StressField
 from ..parallel import (
     LitmusShard,
     ParallelConfig,
@@ -407,40 +406,24 @@ def _one_round(
     return _finish_round(plan, mem, regs, names, handles)
 
 
-def _one_execution(
-    profile: HardwareProfile,
-    instance: LitmusInstance,
-    field: StressField,
-    rng,
-    randomise: bool,
-    rounds: int = _ROUNDS,
-    mem: MemorySystem | None = None,
-    plan: _RoundPlan | None = None,
-) -> bool:
-    """Run one execution (a batch of rounds, like one kernel launch).
+def _recording_plan(
+    instance: LitmusInstance, plan: _RoundPlan, record
+) -> _RoundPlan:
+    """``plan`` with the final value of every written location read
+    back after each round and ``record(regs, final)`` called just
+    before the forbidden-outcome predicate — the simulation path itself
+    is untouched."""
+    final_locs = {
+        loc: instance.addr(loc) for loc in written_locs(instance.test)
+    }
+    final_locs.update(plan.final_locs)
+    pred = plan.pred
 
-    Pass ``mem`` (already reset for this execution's field and rng) to
-    reuse one :class:`MemorySystem` across a whole execution batch.
-    """
-    if mem is None:
-        mem = MemorySystem(profile, field, rng)
-    if plan is None:
-        plan = _round_plan(instance)
-    n_threads = len(plan.programs)
-    sms = tuple(range(n_threads))
-    if randomise and rng.random() < 0.5:
-        sms = sms[::-1]
-    if randomise:
-        exec_p = tuple(
-            rng.uniform(0.35, 0.95) for _ in range(n_threads)
-        )
-    else:
-        exec_p = (_EXEC_P,) * n_threads
-    round_fn = _one_round_ldst2 if plan.fast2 else _one_round
-    for _ in range(rounds):
-        if round_fn(plan, mem, sms, exec_p, rng):
-            return True
-    return False
+    def observe(regs, final):
+        record(regs, final)
+        return pred(regs, final)
+
+    return plan._replace(final_locs=tuple(final_locs.items()), pred=observe)
 
 
 def _litmus_span(
@@ -451,24 +434,37 @@ def _litmus_span(
     randomise: bool,
     start: int,
     stop: int,
+    rounds: int = _ROUNDS,
+    record=None,
 ) -> int:
     """Weak-behaviour count over executions ``[start, stop)``.
 
-    Each execution draws from its own seed stream, derived from the
-    experiment seed and the execution's *global* index — never from
-    shard-local state — so any partition of the execution range yields
-    the same statistics (the repro.parallel determinism contract).
+    Each execution (a batch of ``rounds`` rounds, like one kernel
+    launch) draws from its own seed stream, derived from the experiment
+    seed and the execution's *global* index — never from shard-local
+    state — so any partition of the execution range yields the same
+    statistics (the repro.parallel determinism contract).
 
     The generator is wrapped in :class:`~repro.rng.BufferedRNG` (block
     pre-draws of the identical stream) and one :class:`MemorySystem` is
     reset per execution instead of reallocated — both invisible to the
     statistics.
+
+    Without ``record`` an execution stops at its first weak round.
+    With it, every round runs and ``record(regs, final)`` observes its
+    registers and the final values of the written and condition
+    locations.  The count is the same either way: the skipped rounds
+    only consume the execution's own seed stream.
     """
     weak = 0
     mem: MemorySystem | None = None
     scratch_base = instance.scratch_base
     scratch_size = instance.scratch_size
     plan = _round_plan(instance)
+    if record is not None:
+        plan = _recording_plan(instance, plan, record)
+    round_fn = _one_round_ldst2 if plan.fast2 else _one_round
+    n_threads = len(plan.programs)
     build = stress_spec.build
     # derive_seed is a left fold over the labels, so hoisting the
     # loop-invariant prefix yields the identical per-execution seed.
@@ -482,11 +478,22 @@ def _litmus_span(
             mem = MemorySystem(profile, field, rng)
         else:
             mem.reset(stress=field, rng=rng)
-        if _one_execution(
-            profile, instance, field, rng, randomise,
-            mem=mem, plan=plan,
-        ):
-            weak += 1
+        sms = tuple(range(n_threads))
+        if randomise and rng.random() < 0.5:
+            sms = sms[::-1]
+        if randomise:
+            exec_p = tuple(
+                rng.uniform(0.35, 0.95) for _ in range(n_threads)
+            )
+        else:
+            exec_p = (_EXEC_P,) * n_threads
+        hit = False
+        for _ in range(rounds):
+            if round_fn(plan, mem, sms, exec_p, rng):
+                hit = True
+                if record is None:
+                    break
+        weak += hit
     return weak
 
 
@@ -497,10 +504,8 @@ class OutcomeObservation(NamedTuple):
     over program-written locations)`` — the state-key shape of
     :func:`repro.litmus.sc.sc_outcomes` and the axiomatic model — to the
     number of rounds that ended in that state.  ``weak`` counts the
-    executions with at least one forbidden round (equal to
-    ``run_litmus(...).weak`` at the same seed: the collector runs the
-    rounds an early-exit would skip, but each execution draws from its
-    own seed stream, so later executions are unaffected).
+    executions with at least one forbidden round (equal to the
+    matching ``run_litmus*(...).weak`` at the same seed).
     ``incomplete`` counts dropped rounds whose loads did not all resolve
     within the tick budget — the soundness gate asserts it stays 0."""
 
@@ -520,6 +525,40 @@ def written_locs(test: LitmusTest) -> tuple:
     ))
 
 
+def _check_sms(profile: HardwareProfile, test: LitmusTest) -> None:
+    if test.n_threads > profile.n_sms:
+        raise ValueError(
+            f"{test.name} needs {test.n_threads} SMs; "
+            f"{profile.short_name} models {profile.n_sms}"
+        )
+
+
+class _Histogram:
+    """The direct and engine spans' recording hook: counts each round's
+    ``(registers, written-location values)`` state."""
+
+    def __init__(self, test: LitmusTest):
+        self.outcomes: dict = {}
+        self.incomplete = 0
+        self._n_regs = len(test.registers)
+        self._written = frozenset(written_locs(test))
+
+    def __call__(self, regs: dict, final: dict) -> None:
+        if len(regs) != self._n_regs:
+            self.incomplete += 1
+            return
+        key = (
+            tuple(sorted(regs.items())),
+            tuple(sorted(
+                (loc, v) for loc, v in final.items() if loc in self._written
+            )),
+        )
+        self.outcomes[key] = self.outcomes.get(key, 0) + 1
+
+    def observation(self, weak: int) -> OutcomeObservation:
+        return OutcomeObservation(self.outcomes, weak, self.incomplete)
+
+
 def observed_outcomes(
     profile: HardwareProfile,
     test: LitmusTest,
@@ -532,91 +571,71 @@ def observed_outcomes(
 ) -> OutcomeObservation:
     """Run the direct backend and record *every* round's final state.
 
-    Identical draw-for-draw to :func:`run_litmus` (same span seeding,
-    same stress fields, same round functions) except that no execution
-    exits early on a weak round; the recording happens inside an
-    injected round-plan predicate, so the simulation path is untouched.
-    Used by the simulator-soundness gate to check observed states
-    against the axiomatic model.
+    :func:`_litmus_span` with a recording hook: the same draws as
+    :func:`run_litmus`, without the early exit.  Used by the
+    simulator-soundness gate to check observed states against the
+    axiomatic model.
     """
-    if test.n_threads > profile.n_sms:
-        raise ValueError(
-            f"{test.name} needs {test.n_threads} SMs; "
-            f"{profile.short_name} models {profile.n_sms}"
-        )
-    instance = LitmusInstance.layout(profile, test, distance)
-    base = _round_plan(instance)
-    addrs = instance.loc_addrs()
-    loc_index = test.locations.index
-    written = written_locs(test)
-    # Observe the final value of every written location (the oracle
-    # state) plus whatever the condition itself reads.
-    obs_locs = {loc: addrs[loc_index(loc)] for loc in written}
-    for loc, addr in base.final_locs:
-        obs_locs.setdefault(loc, addr)
-    n_regs = len(test.registers)
-    written_set = frozenset(written)
-    real_pred = base.pred
-    outcomes: dict = {}
-    incomplete = 0
-
-    def record(regs, final):
-        nonlocal incomplete
-        if len(regs) == n_regs:
-            key = (
-                tuple(sorted(regs.items())),
-                tuple(sorted(
-                    (loc, v) for loc, v in final.items()
-                    if loc in written_set
-                )),
-            )
-            outcomes[key] = outcomes.get(key, 0) + 1
-        else:
-            incomplete += 1
-        return bool(real_pred(regs, final))
-
-    plan = base._replace(final_locs=tuple(obs_locs.items()), pred=record)
-    n_threads = len(plan.programs)
-    round_fn = _one_round_ldst2 if plan.fast2 else _one_round
-    span_seed = derive_seed(
-        seed, profile.short_name, test.name, distance
-    )
-    mem: MemorySystem | None = None
-    weak = 0
-    for i in range(executions):
-        rng = BufferedRNG(make_rng(span_seed, i))
-        field = stress_spec.build(
-            profile, instance.scratch_base, instance.scratch_size, rng
-        )
-        if mem is None:
-            mem = MemorySystem(profile, field, rng)
-        else:
-            mem.reset(stress=field, rng=rng)
-        sms = tuple(range(n_threads))
-        if randomise and rng.random() < 0.5:
-            sms = sms[::-1]
-        if randomise:
-            exec_p = tuple(
-                rng.uniform(0.35, 0.95) for _ in range(n_threads)
-            )
-        else:
-            exec_p = (_EXEC_P,) * n_threads
-        hit = False
-        for _ in range(rounds):
-            if round_fn(plan, mem, sms, exec_p, rng):
-                hit = True
-        if hit:
-            weak += 1
-    return OutcomeObservation(outcomes, weak, incomplete)
-
-
-def _litmus_shard(args: tuple) -> LitmusShard:
-    """Process-pool worker: one execution shard of one litmus instance."""
-    profile, instance, stress_spec, seed, randomise, start, stop = args
+    _check_sms(profile, test)
+    histogram = _Histogram(test)
     weak = _litmus_span(
-        profile, instance, stress_spec, seed, randomise, start, stop
+        profile, LitmusInstance.layout(profile, test, distance),
+        stress_spec, seed, randomise, 0, executions, rounds, histogram,
     )
-    return LitmusShard(start=start, stop=stop, weak=weak)
+    return histogram.observation(weak)
+
+
+def _span_shard(item: tuple) -> LitmusShard:
+    """Process-pool worker: one shard of any backend's span."""
+    span, head, start, stop, tail = item
+    return LitmusShard(start, stop, span(*head, start, stop, *tail))
+
+
+def _run_spans(
+    span,
+    backend: str,
+    profile: HardwareProfile,
+    test: LitmusTest,
+    distance: int,
+    stress_spec,
+    executions: int,
+    seed: int,
+    randomise: bool,
+    parallel: ParallelConfig | None,
+    tail: tuple = (),
+    batch: int = 1,
+) -> LitmusResult:
+    """The one sharding path behind every ``run_litmus*`` backend.
+
+    Calls ``span(profile, instance, stress_spec, seed, randomise,
+    start, stop, *tail)`` over shards of whole ``batch``-sized
+    execution groups — one in-process call when serial, a process pool
+    otherwise — and merges the weak counts.  Every backend seeds each
+    execution (or batch) from its global index, so serial and parallel
+    runs produce identical results.
+    """
+    config = resolve_config(parallel)
+    _check_sms(profile, test)
+    head = (
+        profile, LitmusInstance.layout(profile, test, distance),
+        stress_spec, seed, randomise,
+    )
+    shards = parallel_map(
+        _span_shard,
+        [
+            (span, head, start * batch, min(stop * batch, executions), tail)
+            for start, stop in shard_ranges(-(-executions // batch), config)
+        ],
+        config,
+    )
+    return LitmusResult(
+        test=test.name,
+        distance=distance,
+        weak=merge_litmus_shards(shards, executions),
+        executions=executions,
+        location=tuple(getattr(stress_spec, "locations", ()) or ()),
+        backend=backend,
+    )
 
 
 def run_litmus(
@@ -641,32 +660,7 @@ def run_litmus(
     serial and parallel runs produce identical results because every
     execution is seeded from its global index.
     """
-    config = resolve_config(parallel)
-    if test.n_threads > profile.n_sms:
-        raise ValueError(
-            f"{test.name} needs {test.n_threads} SMs; "
-            f"{profile.short_name} models {profile.n_sms}"
-        )
-    instance = LitmusInstance.layout(profile, test, distance)
-    if config.serial:
-        weak = _litmus_span(
-            profile, instance, stress_spec, seed, randomise, 0, executions
-        )
-    else:
-        shards = parallel_map(
-            _litmus_shard,
-            [
-                (profile, instance, stress_spec, seed, randomise, start, stop)
-                for start, stop in shard_ranges(executions, config)
-            ],
-            config,
-        )
-        weak = merge_litmus_shards(shards, executions)
-    locations = tuple(getattr(stress_spec, "locations", ()) or ())
-    return LitmusResult(
-        test=test.name,
-        distance=distance,
-        weak=weak,
-        executions=executions,
-        location=locations,
+    return _run_spans(
+        _litmus_span, "direct", profile, test, distance, stress_spec,
+        executions, seed, randomise, parallel,
     )

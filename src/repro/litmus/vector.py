@@ -62,14 +62,7 @@ from ..errors import InvalidStressConfigError
 from ..gpu.memory import _PARKED_DRAIN, memory_tables
 from ..gpu.pressure import _THREADS_NORM, StressField
 from ..stress.strategies import NoStress, TunedStress
-from ..parallel import (
-    LitmusShard,
-    ParallelConfig,
-    merge_litmus_shards,
-    parallel_map,
-    resolve_config,
-    shard_ranges,
-)
+from ..parallel import ParallelConfig
 from ..rng import derive_seed, make_rng
 from .ir import And, I_FENCE, I_LOAD, I_RMW, I_STORE, LocEq, Or, RegEq
 from .results import LitmusResult
@@ -79,6 +72,7 @@ from .runner import (
     _ROUNDS,
     LitmusInstance,
     OutcomeObservation,
+    _run_spans,
     written_locs,
 )
 from .tests import LitmusTest
@@ -432,14 +426,14 @@ def _race_pair(plan, tab, s1, s2, rng, n):
     s1["C"], s2["C"] = c1, c2
 
 
-def _round_weak(plan, tab, exec_p, flip, rng, n, collect=None):
+def _round_weak(plan, tab, exec_p, flip, rng, n, record=None):
     """One vectorized round; True per lane on the forbidden outcome.
 
-    ``collect(regs, stacks)``, if given, observes the round's raw
+    ``record(regs, stacks)``, if given, observes the round's raw
     results before condition evaluation: per-lane register arrays and
     the per-location ``(keys, vals)`` write stacks.  It must not mutate
-    them (the soundness gate's outcome collector reads them to
-    reconstruct every lane's final state)."""
+    them (:func:`observed_outcomes_vector` reads them to reconstruct
+    every lane's final state)."""
     delays = rng.integers(0, _MAX_START_DELAY, size=(plan.n_threads, n))
     writes: list = [[] for _ in range(plan.n_locs)]
     reads = []  # (reg, loc, key threshold, forward mask, forwarded value)
@@ -770,8 +764,8 @@ def _round_weak(plan, tab, exec_p, flip, rng, n, collect=None):
         else:
             keys, vals = entry
             final[name] = vals[keys.argmax(axis=0)]
-    if collect is not None:
-        collect(regs, stacks)
+    if record is not None:
+        record(regs, stacks)
     return _eval_cond(plan.cond, regs, final, n)
 
 
@@ -806,16 +800,21 @@ def _vector_span(
     stress_spec,
     seed: int,
     randomise: bool,
-    batch_start: int,
-    batch_stop: int,
-    executions: int,
-    lane_block: int,
+    start: int,
+    stop: int,
+    lane_block: int = LANE_BLOCK,
+    record=None,
 ) -> int:
-    """Weak-behaviour count over batches ``[batch_start, batch_stop)``.
+    """Weak-behaviour count over executions ``[start, stop)``.
 
-    Every batch seeds its own generator from the experiment seed and
-    the batch's *global* index — never from shard-local state — so any
+    ``start`` must be a multiple of ``lane_block``: the range is cut
+    into mega-batches at ``lane_block`` boundaries and every batch
+    seeds its own generator from the experiment seed and the batch's
+    *global* index — never from shard-local state — so any
     batch-aligned partition yields identical statistics.
+
+    ``record(regs, stacks)``, if given, observes every round's raw
+    results (see :func:`_round_weak`).
     """
     plan = _vector_plan(profile, instance)
     span_seed = derive_seed(
@@ -823,12 +822,9 @@ def _vector_span(
         "vector",
     )
     weak = 0
-    for b in range(batch_start, batch_stop):
-        lo = b * lane_block
-        n = min(executions, lo + lane_block) - lo
-        if n <= 0:
-            continue
-        rng = make_rng(span_seed, b)
+    for lo in range(start, stop, lane_block):
+        n = min(stop, lo + lane_block) - lo
+        rng = make_rng(span_seed, lo // lane_block)
         tab = _lane_tables(profile, instance, plan, stress_spec, rng, n)
         if randomise:
             flip = rng.random(n) < 0.5
@@ -838,7 +834,9 @@ def _vector_span(
             exec_p = [_EXEC_P] * plan.n_threads
         weak_lanes = np.zeros(n, dtype=bool)
         for _ in range(_ROUNDS):
-            weak_lanes |= _round_weak(plan, tab, exec_p, flip, rng, n)
+            weak_lanes |= _round_weak(
+                plan, tab, exec_p, flip, rng, n, record
+            )
         weak += int(np.count_nonzero(weak_lanes))
     return weak
 
@@ -855,96 +853,38 @@ def observed_outcomes_vector(
 ) -> OutcomeObservation:
     """Run the vector backend and record every lane-round final state.
 
-    Mirrors :func:`_vector_span` (same ``"vector"`` seed label, same
-    lane tables and per-round draws) with a ``collect`` hook attached:
-    after each round the per-lane registers and the final value of
-    every program-written location (the write with the greatest commit
-    key, initial 0 if never written) are stacked into a matrix and
-    deduplicated with ``np.unique``.  Lanes always complete — there is
-    no tick budget here — so ``incomplete`` is always 0.
+    :func:`_vector_span` with a hook that stacks, after each round, the
+    per-lane registers and the final value of every program-written
+    location (the write with the greatest commit key) into a matrix and
+    folds it with ``np.unique``.  Lanes always complete — there is no
+    tick budget here — so ``incomplete`` is always 0.
     """
-    instance = LitmusInstance.layout(profile, test, distance)
-    plan = _vector_plan(profile, instance)
-    span_seed = derive_seed(
-        seed, profile.short_name, test.name, distance, "vector"
-    )
     loc_index = {name: i for i, name in enumerate(test.locations)}
-    written = tuple(
-        (name, loc_index[name]) for name in written_locs(test)
-    )
     reg_names = tuple(sorted(test.registers))
-    written_sorted = tuple(sorted(written))
+    written = tuple(sorted(written_locs(test)))
+    n_regs = len(reg_names)
     outcomes: dict = {}
-    weak = 0
-    n_batches = -(-executions // lane_block)
-    for b in range(n_batches):
-        lo = b * lane_block
-        n = min(executions, lo + lane_block) - lo
-        if n <= 0:
-            continue
-        rng = make_rng(span_seed, b)
-        tab = _lane_tables(profile, instance, plan, stress_spec, rng, n)
-        if randomise:
-            flip = rng.random(n) < 0.5
-            exec_p = rng.uniform(0.35, 0.95, size=(plan.n_threads, n))
-        else:
-            flip = None
-            exec_p = [_EXEC_P] * plan.n_threads
 
-        rows: list = []
-
-        def collect(regs, stacks):
-            columns = [
-                np.broadcast_to(np.asarray(regs[r]), (n,))
-                for r in reg_names
-            ]
-            for _, loc in written_sorted:
-                entry = stacks.get(loc)
-                if entry is None:
-                    columns.append(np.zeros(n, dtype=np.int64))
-                else:
-                    keys, vals = entry
-                    columns.append(vals[keys.argmax(axis=0)])
-            rows.append(np.stack(columns, axis=1)
-                        if columns else np.zeros((n, 0), dtype=np.int64))
-
-        weak_lanes = np.zeros(n, dtype=bool)
-        for _ in range(_ROUNDS):
-            weak_lanes |= _round_weak(
-                plan, tab, exec_p, flip, rng, n, collect=collect
-            )
-        weak += int(np.count_nonzero(weak_lanes))
+    def record(regs, stacks):
+        columns = [regs[r] for r in reg_names]
+        for name in written:
+            keys, vals = stacks[loc_index[name]]
+            columns.append(vals[keys.argmax(axis=0)])
         states, counts = np.unique(
-            np.concatenate(rows, axis=0), axis=0, return_counts=True
+            np.stack(columns, axis=1), axis=0, return_counts=True
         )
-        n_regs = len(reg_names)
-        for row, count in zip(states, counts):
+        for row, count in zip(states.tolist(), counts.tolist()):
             key = (
-                tuple(zip(reg_names, (int(v) for v in row[:n_regs]))),
-                tuple(
-                    (name, int(v))
-                    for (name, _), v in zip(written_sorted, row[n_regs:])
-                ),
+                tuple(zip(reg_names, row[:n_regs])),
+                tuple(zip(written, row[n_regs:])),
             )
-            outcomes[key] = outcomes.get(key, 0) + int(count)
-    return OutcomeObservation(outcomes, weak, incomplete=0)
+            outcomes[key] = outcomes.get(key, 0) + count
 
-
-def _vector_shard(args: tuple) -> LitmusShard:
-    """Process-pool worker: one batch-aligned shard of one instance."""
-    (
-        profile, instance, stress_spec, seed, randomise,
-        batch_start, batch_stop, executions, lane_block,
-    ) = args
     weak = _vector_span(
-        profile, instance, stress_spec, seed, randomise,
-        batch_start, batch_stop, executions, lane_block,
+        profile, LitmusInstance.layout(profile, test, distance),
+        stress_spec, seed, randomise, 0, executions, lane_block, record,
     )
-    return LitmusShard(
-        start=min(batch_start * lane_block, executions),
-        stop=min(batch_stop * lane_block, executions),
-        weak=weak,
-    )
+    return OutcomeObservation(outcomes, weak, incomplete=0)
 
 
 def run_litmus_vector(
@@ -967,38 +907,8 @@ def run_litmus_vector(
     mega-batches across workers; serial and parallel runs are
     bit-identical.
     """
-    config = resolve_config(parallel)
-    if test.n_threads > profile.n_sms:
-        raise ValueError(
-            f"{test.name} needs {test.n_threads} SMs; "
-            f"{profile.short_name} models {profile.n_sms}"
-        )
-    instance = LitmusInstance.layout(profile, test, distance)
-    n_batches = -(-executions // lane_block) if executions > 0 else 0
-    if config.serial or n_batches <= 1:
-        weak = _vector_span(
-            profile, instance, stress_spec, seed, randomise,
-            0, n_batches, executions, lane_block,
-        )
-    else:
-        shards = parallel_map(
-            _vector_shard,
-            [
-                (
-                    profile, instance, stress_spec, seed, randomise,
-                    start, stop, executions, lane_block,
-                )
-                for start, stop in shard_ranges(n_batches, config)
-            ],
-            config,
-        )
-        weak = merge_litmus_shards(shards, executions)
-    locations = tuple(getattr(stress_spec, "locations", ()) or ())
-    return LitmusResult(
-        test=test.name,
-        distance=distance,
-        weak=weak,
-        executions=executions,
-        location=locations,
-        backend="vector",
+    return _run_spans(
+        _vector_span, "vector", profile, test, distance, stress_spec,
+        executions, seed, randomise, parallel,
+        tail=(lane_block,), batch=lane_block,
     )

@@ -12,6 +12,8 @@ later executions).
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from repro.axiom.model import classify
@@ -21,10 +23,34 @@ from repro.litmus.runner import observed_outcomes, run_litmus
 from repro.litmus.tests import ALL_TESTS, get_test
 from repro.litmus.vector import observed_outcomes_vector, run_litmus_vector
 from repro.stress.strategies import TunedStress
-from repro.testing.soundness import DEFAULT_EXECUTIONS, soundness_gate
+from repro.testing.soundness import (
+    _COLLECTORS,
+    DEFAULT_EXECUTIONS,
+    soundness_gate,
+)
 from repro.tuning.pipeline import shipped_params
 
 SEED = 7
+
+#: sha256 of ``repr((sorted(outcomes.items()), weak, incomplete))`` for
+#: seed-7 K20 cells at the gate budgets: the exact outcome histograms,
+#: not just the weak counts the other tests compare.
+HISTOGRAM_PINS = {
+    ("direct", "MP"):
+        "c3fd0784624796a00d0d975ca03dd2f19c8baf191b0d28e13f4aef6e539a9855",
+    ("direct", "IRIW"):
+        "f5abd41910a9aea1e4351b2e39a4c36b9b3313d190fb788eeb6480dd87188f27",
+    ("direct", "CoWW"):
+        "04f83450d6cc37b78430f472a135b4251a600a9fd97a6989ed6e64464ffd8661",
+    ("engine", "MP"):
+        "a3f10e0950216b34c27c6d2b9696aee648cdcfc291ba87c5aea1b5c1cf80ac2d",
+    ("engine", "SB"):
+        "e9b7f2c10cd1906ff645183c433127bf0e7e0ebea59ac8e1e4f948bfa33ad1c0",
+    ("vector", "MP"):
+        "0661b0782565943c087e0cf3c72d8ce035e46d302465ab7c9eba67465deee75d",
+    ("vector", "2+2W"):
+        "9a75e85dc85788882d34089109fe424ea84991c63b8c02ae3b0e8e3553ba6065",
+}
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +131,18 @@ def test_vector_collector_matches_run_litmus_vector(k20, name):
     ref = run_litmus_vector(k20, test, d, spec, n, seed=SEED)
     assert obs.weak == ref.weak
     assert sum(obs.outcomes.values()) == n * 8
+
+
+@pytest.mark.parametrize("backend,name", sorted(HISTOGRAM_PINS))
+def test_outcome_histograms_pinned(k20, backend, name):
+    spec = TunedStress(shipped_params("K20"))
+    obs = _COLLECTORS[backend](
+        k20, get_test(name), 2 * k20.patch_size, spec,
+        DEFAULT_EXECUTIONS[backend], seed=SEED,
+    )
+    blob = repr((sorted(obs.outcomes.items()), obs.weak, obs.incomplete))
+    digest = hashlib.sha256(blob.encode()).hexdigest()
+    assert digest == HISTOGRAM_PINS[backend, name]
 
 
 def test_collectors_observe_weak_states_the_model_allows(k20):

@@ -396,6 +396,20 @@ class TestCompiledBackend:
         )
         assert a.weak == b.weak
 
+    def test_engine_sharded_run_matches_serial(self, k20):
+        # Every compiled execution seeds from its global index, so a
+        # two-worker run must reproduce the serial result exactly.
+        from repro.parallel import ParallelConfig
+
+        kwargs = dict(executions=12, seed=13)
+        serial = run_litmus_compiled(k20, MP, 128, _tuned(k20), **kwargs)
+        sharded = run_litmus_compiled(
+            k20, MP, 128, _tuned(k20),
+            parallel=ParallelConfig(jobs=2), **kwargs
+        )
+        assert serial.weak > 0
+        assert sharded == serial
+
     def test_rmw_lowering_runs_on_engine(self, k20):
         t = LitmusTest(
             name="xchg-e",
