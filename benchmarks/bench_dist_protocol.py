@@ -1,30 +1,28 @@
-"""Distributed protocol A/B: sync v2 leasing vs v3 pipelined+adaptive.
+"""Distributed protocol: blocking lease round trips under wire latency.
 
-The tentpole claim of the protocol-v3 overhaul is that lease
-pipelining plus adaptive lease sizing takes the coordinator round-trip
-off the worker's critical path: instead of *blocking* on a
-request/lease exchange before every unit (one-unit-per-lease v2, the
-worst case and the old chaos default), a v3 worker prefetches its next
-lease while the current one executes and the coordinator batches units
-toward a target lease duration.
+Lease pipelining plus adaptive lease sizing takes the coordinator
+round trip off the worker's critical path: instead of *blocking* on a
+request/lease exchange before every unit, a worker prefetches its next
+lease while the current one executes, and the coordinator batches
+units toward a target lease duration.
 
 This benchmark measures that directly, without needing a second
 machine or even a second CPU: the coordinator runs in a thread, the
 worker runs in-process via :func:`repro.dist.run_worker`, and wire
 latency is injected deterministically with the fault runtime
 (``socket.send``/``delay`` on every frame, both directions — the same
-production code path chaos testing uses).  Both sides execute the
-identical unit grid; the records must match exactly (the byte-identity
-contract).  Recorded per side: wall-clock, blocking lease round trips
+production code path chaos testing uses).  The records must match a
+serial in-process run exactly (the byte-identity contract).  Recorded:
+wall-clock, blocking lease round trips
 (:class:`~repro.dist.WorkerStats`), and raw-vs-wire bytes
-(:class:`~repro.dist.WireStats`, compression on for the v3 side)::
+(:class:`~repro.dist.WireStats`)::
 
     REPRO_BENCH_JSON=BENCH_throughput.json \
         pytest benchmarks/bench_dist_protocol.py -s
 
-The acceptance floor (ISSUE 9): the pipelined+adaptive run completes
-the grid with at least :data:`_MIN_RT_RATIO` x fewer blocking round
-trips than the sync one-unit-per-lease run.
+The acceptance floor: the run blocks on at most a fifth of the round
+trips a one-unit-per-lease, unpipelined worker needs (one per unit plus
+the final request that reads ``done``).
 """
 
 from __future__ import annotations
@@ -36,18 +34,20 @@ import time
 from repro.dist import Coordinator, WorkerStats, run_worker
 from repro.faults import FaultPlan, FaultSpec, install, uninstall
 from repro.litmus.units import litmus_unit
+from repro.parallel import run_units
+from repro.parallel.executor import SERIAL
 from repro.store import litmus_key
 from repro.stress.strategies import NoStress
 
-#: Work units in the A/B grid (cycled over the litmus family, unique
+#: Work units in the grid (cycled over the litmus family, unique
 #: seeds, tiny execution counts — the wire, not the simulator, is what
 #: this benchmark exercises).
 _UNITS = int(os.environ.get("REPRO_BENCH_DIST_UNITS", "24"))
 _EXECUTIONS = 8
 #: Injected one-way per-frame latency (seconds).
 _DELAY_S = float(os.environ.get("REPRO_BENCH_DIST_DELAY_S", "0.003"))
-#: Acceptance floor: sync blocking round trips / pipelined ones.
-_MIN_RT_RATIO = 5.0
+#: Acceptance floor: blocking round trips * this <= units + 1.
+_MIN_RT_RATIO = 5
 
 _TESTS = ["MP", "SB", "LB", "CoRR", "R", "S", "WRC", "IRIW"]
 
@@ -77,17 +77,11 @@ def _latency_plan():
     )
 
 
-def _run_side(units, protocol, units_per_lease, compress):
-    """One full campaign: coordinator thread + in-process worker.
-
-    Returns (wall_s, records, worker_stats, coordinator_wire).
+def _run_campaign(units):
+    """One full adaptive campaign: coordinator thread + in-process
+    worker.  Returns (wall_s, records, worker_stats, coordinator_wire).
     """
-    coordinator = Coordinator(
-        units,
-        units_per_lease=units_per_lease,
-        compress=compress,
-        lease_timeout=30.0,
-    )
+    coordinator = Coordinator(units, lease_timeout=30.0)
     host, port = coordinator.bind()
     box = {}
 
@@ -98,14 +92,7 @@ def _run_side(units, protocol, units_per_lease, compress):
     thread.start()
     stats = WorkerStats()
     start = time.perf_counter()
-    run_worker(
-        host,
-        port,
-        name=f"bench-v{protocol}",
-        protocol=protocol,
-        compress=compress,
-        stats=stats,
-    )
+    run_worker(host, port, name="bench-pipelined", stats=stats)
     wall = time.perf_counter() - start
     thread.join(timeout=60)
     assert "records" in box, "coordinator did not finish"
@@ -120,82 +107,50 @@ def _blocking_round_trips(stats):
     return stats.blocking_grants + stats.wait_sleeps
 
 
-def test_dist_protocol_ab(bench_json):
+def test_dist_protocol_pipelined(bench_json):
     units = _grid()
     install(_latency_plan())
     try:
-        # A: protocol v2, one unit per lease, no compression — every
-        # unit pays a blocking request/lease exchange.
-        sync_wall, sync_records, sync_stats, sync_wire = _run_side(
-            units, protocol=2, units_per_lease=1, compress=False
-        )
-        # B: protocol v3 — adaptive lease sizing, pipelined prefetch,
-        # compression negotiated on.
-        pipe_wall, pipe_records, pipe_stats, pipe_wire = _run_side(
-            units, protocol=3, units_per_lease=None, compress=True
-        )
+        wall, records, stats, wire = _run_campaign(units)
     finally:
         uninstall()
 
-    # Byte-identity first: the optimisation must change nothing.
-    assert [r.key for r in sync_records] == [r.key for r in pipe_records]
-    assert [r.to_json() for r in sync_records] == [
-        r.to_json() for r in pipe_records
+    # Byte-identity first: the distributed run must change nothing.
+    assert [r.to_json() for r in records] == [
+        r.to_json() for r in run_units(units, SERIAL)
     ]
-    assert sync_stats.executed == pipe_stats.executed == len(units)
+    assert stats.executed == len(units)
 
-    sync_rt = _blocking_round_trips(sync_stats)
-    pipe_rt = _blocking_round_trips(pipe_stats)
-    ratio = sync_rt / max(1, pipe_rt)
-
-    def side(wall, stats, wire, round_trips):
-        return {
-            "wall_s": round(wall, 3),
-            "blocking_round_trips": round_trips,
-            "blocking_grants": stats.blocking_grants,
-            "prefetched_grants": stats.prefetched_grants,
-            "wait_sleeps": stats.wait_sleeps,
-            "leases_served": stats.leases_served,
-            "result_parts_streamed": stats.parts_sent,
-            "coordinator_raw_bytes": wire.raw_out + wire.raw_in,
-            "coordinator_wire_bytes": wire.wire_out + wire.wire_in,
-            "compressed_frames": (
-                wire.compressed_out + wire.compressed_in
-            ),
-        }
-
-    bench_json["dist_protocol_ab"] = {
+    round_trips = _blocking_round_trips(stats)
+    bench_json["dist_protocol_pipelined"] = {
         "units": len(units),
         "injected_delay_ms_per_frame": _DELAY_S * 1000.0,
-        "sync_v2_one_unit_leases": side(
-            sync_wall, sync_stats, sync_wire, sync_rt
-        ),
-        "pipelined_v3_adaptive": side(
-            pipe_wall, pipe_stats, pipe_wire, pipe_rt
-        ),
-        "blocking_round_trip_ratio": round(ratio, 1),
+        "wall_s": round(wall, 3),
+        "blocking_round_trips": round_trips,
+        "blocking_grants": stats.blocking_grants,
+        "prefetched_grants": stats.prefetched_grants,
+        "wait_sleeps": stats.wait_sleeps,
+        "leases_served": stats.leases_served,
+        "result_parts_streamed": stats.parts_sent,
+        "coordinator_raw_bytes": wire.raw_out + wire.raw_in,
+        "coordinator_wire_bytes": wire.wire_out + wire.wire_in,
+        "compressed_frames": wire.compressed_out + wire.compressed_in,
         "min_ratio_floor": _MIN_RT_RATIO,
     }
 
-    assert ratio >= _MIN_RT_RATIO, (
-        f"pipelined+adaptive still blocked on {pipe_rt} lease round "
-        f"trip(s) vs {sync_rt} sync — ratio {ratio:.1f}x is under the "
-        f"{_MIN_RT_RATIO:.0f}x floor"
+    assert round_trips * _MIN_RT_RATIO <= len(units) + 1, (
+        f"pipelined+adaptive still blocked on {round_trips} lease round "
+        f"trip(s); the floor is (units + 1) / {_MIN_RT_RATIO} for "
+        f"{len(units)} units"
     )
     # Compression must never inflate the wire.
-    pipe_total = bench_json["dist_protocol_ab"]["pipelined_v3_adaptive"]
-    assert (
-        pipe_total["coordinator_wire_bytes"]
-        <= pipe_total["coordinator_raw_bytes"]
-        + 4 * (pipe_wire.frames_out + pipe_wire.frames_in)
+    assert wire.wire_out + wire.wire_in <= (
+        wire.raw_out + wire.raw_in + 4 * (wire.frames_out + wire.frames_in)
     )
     print(
-        f"\ndist protocol A/B ({len(units)} units, "
+        f"\ndist protocol ({len(units)} units, "
         f"{_DELAY_S * 1000:.0f}ms/frame injected): "
-        f"sync v2 {sync_rt} blocking round trips / {sync_wall:.2f}s, "
-        f"pipelined v3 {pipe_rt} / {pipe_wall:.2f}s "
-        f"({ratio:.1f}x fewer, {pipe_stats.prefetched_grants} "
-        f"prefetched lease(s), "
-        f"{pipe_wire.compressed_out + pipe_wire.compressed_in} "
-        f"compressed frame(s))"
+        f"{round_trips} blocking round trips / {wall:.2f}s, "
+        f"{stats.prefetched_grants} prefetched lease(s), "
+        f"{wire.compressed_out + wire.compressed_in} compressed frame(s)"
     )

@@ -593,8 +593,8 @@ def _epilog() -> str:
             "  Leases are sized adaptively (per-worker service-time",
             "  EWMA, targeting --lease-target-seconds of compute each);",
             "  --units-per-lease N pins a fixed batch size instead.",
-            "  Workers pipeline lease requests and frames compress",
-            "  automatically (both negotiated; v2 workers still work).",
+            "  Workers pipeline lease requests and large frames are",
+            "  compressed automatically.",
             "",
             "persistent run ledger:",
             "  pass --out DIR to checkpoint completed results into an",
@@ -694,8 +694,6 @@ def build_parser() -> argparse.ArgumentParser:
     def _add_lease_args(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--units-per-lease",
-            "--lease-units",
-            dest="units_per_lease",
             type=_lease_units_arg,
             default=None,
             metavar="N",

@@ -4,11 +4,10 @@ The distributed layer moves :class:`~repro.parallel.plan.WorkUnit`
 plans across machines without moving any correctness responsibility:
 results are keyed and seeded identically wherever they run, so the
 coordinator's content-key merge is provably byte-identical to a
-single-machine run.  Protocol v3 adds lease pipelining, adaptive lease
-sizing, incremental result streaming and frame compression — all
-negotiated per connection, with v2 peers served unchanged.  See
-``docs/ARCHITECTURE.md`` ("Distributed campaigns") for the frame
-format, the lease lifecycle, and the merge invariants.
+single-machine run.  The wire (protocol v3) pipelines leases, sizes
+them adaptively, streams results incrementally and compresses large
+frames.  See ``docs/ARCHITECTURE.md`` ("Distributed campaigns") for the
+frame format, the lease lifecycle, and the merge invariants.
 """
 
 from .coordinator import (
@@ -28,7 +27,6 @@ from .protocol import (
     COMPRESS_FLAG,
     COMPRESS_MIN,
     MAX_FRAME,
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     FrameDecoder,
     WireStats,
@@ -56,7 +54,6 @@ __all__ = [
     "MAX_ATTEMPTS",
     "MAX_FRAME",
     "MAX_LEASE_UNITS",
-    "MIN_PROTOCOL_VERSION",
     "PROTOCOL_VERSION",
     "Settlement",
     "WAIT_RETRY_MAX_S",

@@ -16,11 +16,10 @@ it and :meth:`Coordinator.serve` raises
 and every healthy record, so one poison unit can neither crash-loop
 the fleet nor silently punch a hole in the merge.
 
-Protocol v3 peers negotiate pipelining, frame compression, incremental
-``result-part`` streaming and adaptive lease sizing in the handshake;
-v2 peers are served exactly as before (one blocking lease at a time,
-raw frames, one result at lease end).  The two generations can share a
-campaign: the merge only ever sees keyed records.
+A ``hello`` must state exactly the current protocol version.  A peer
+that sends garbage bytes, or a typed frame whose fields have the wrong
+shape, gets an ``error`` reply and loses its connection (its leases
+re-pend); it never takes the campaign down with it.
 
 The merge is by content key and idempotent: a reassigned lease coming
 back twice folds to one record when payloads agree and raises
@@ -59,10 +58,10 @@ from ..parallel.plan import WorkUnit
 from ..store.records import RunRecord
 from .leases import DEFAULT_TARGET_LEASE_S, MAX_ATTEMPTS, LeaseTable
 from .protocol import (
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     FrameDecoder,
     WireStats,
+    is_current_protocol,
     send_message,
 )
 
@@ -80,9 +79,37 @@ WAIT_RETRY_MAX_S = 2.0
 _POLL_CAP_S = 1.0
 
 
+def _check_fields(message: dict) -> None:
+    """Refuse a typed frame whose fields have the wrong shape.
+
+    Raises :class:`~repro.errors.ProtocolError`, which costs the peer
+    its connection; a malformed field must never reach the lease table
+    or the merge, where it would abort the whole campaign.
+    """
+    lease = message.get("lease", -1)
+    if type(lease) is not int:
+        raise ProtocolError(f"lease id must be an int, not {lease!r}")
+    records = message.get("records", [])
+    if not isinstance(records, list):
+        raise ProtocolError(f"records must be a list, not {records!r}")
+    for obj in records:
+        try:
+            RunRecord.from_json(obj)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from exc
+    failed = message.get("failed", [])
+    if not isinstance(failed, list) or not all(
+        isinstance(entry, dict) and isinstance(entry.get("key"), str)
+        for entry in failed
+    ):
+        raise ProtocolError(
+            f"failed must be a list of objects with a str key, not "
+            f"{failed!r}"
+        )
+
+
 class _Client:
-    """Per-connection state: decoder buffer plus the worker identity
-    and what the handshake negotiated for this connection."""
+    """Per-connection state: decoder buffer plus the worker identity."""
 
     def __init__(
         self,
@@ -96,11 +123,6 @@ class _Client:
         #: ``--name``; leases must not).
         self.ident = ident
         self.helloed = False
-        #: Negotiated protocol version (set at ``hello``; v3 gates
-        #: ``result-part``/``release`` handling).
-        self.protocol = MIN_PROTOCOL_VERSION
-        #: Whether frames *to* this worker may be compressed.
-        self.compress = False
         #: Units this connection has completed (progress UI).
         self.units_done = 0
 
@@ -112,10 +134,9 @@ class Coordinator:
     silent worker holds its units, ``units_per_lease`` fixes the batch
     size (None, the default, enables the adaptive controller targeting
     ``lease_target_s`` of compute per lease), ``max_attempts`` is the
-    per-unit failure budget before quarantine, ``compress`` offers
-    frame compression to v3 workers.  ``on_record(index, record)``
-    streams each *fresh* merged record back in completion order — the
-    same checkpointing hook the local pool backend uses, so
+    per-unit failure budget before quarantine.  ``on_record(index,
+    record)`` streams each *fresh* merged record back in completion
+    order — the same checkpointing hook the local pool backend uses, so
     :func:`~repro.store.resume.submit_units` works unchanged on top.
 
     ``stop_check`` (also assignable after construction) is polled every
@@ -133,7 +154,6 @@ class Coordinator:
         units_per_lease: int | None = None,
         max_attempts: int = MAX_ATTEMPTS,
         lease_target_s: float = DEFAULT_TARGET_LEASE_S,
-        compress: bool = True,
         on_record: Callable[[int, RunRecord], None] | None = None,
         stop_check: Callable[[], str | None] | None = None,
         log: Callable[[str], None] | None = None,
@@ -145,7 +165,6 @@ class Coordinator:
         self.units_per_lease = units_per_lease
         self.max_attempts = max_attempts
         self.lease_target_s = lease_target_s
-        self.compress = compress
         self.on_record = on_record
         self.stop_check = stop_check
         self.log = log or (lambda message: None)
@@ -293,12 +312,7 @@ class Coordinator:
         return min(_POLL_CAP_S, max(0.0, deadline - self._table.now()))
 
     def _send(self, client: _Client, message: dict) -> None:
-        send_message(
-            client.sock,
-            message,
-            compress=client.compress,
-            stats=self.wire,
-        )
+        send_message(client.sock, message, stats=self.wire)
 
     def _accept(
         self,
@@ -359,7 +373,10 @@ class Coordinator:
             self._drop(client, selector, clients)
             return
         try:
-            messages = client.decoder.feed(data)
+            for message in client.decoder.feed(data):
+                self._handle(client, message, selector, clients)
+                if client.sock not in clients or self._restart_requested:
+                    break  # connection dropped (or restarting) mid-batch
         except ProtocolError as exc:
             self.log(f"protocol error from {client.ident}: {exc}")
             try:
@@ -367,11 +384,6 @@ class Coordinator:
             except OSError:
                 pass
             self._drop(client, selector, clients)
-            return
-        for message in messages:
-            self._handle(client, message, selector, clients)
-            if client.sock not in clients or self._restart_requested:
-                break  # connection dropped (or restarting) mid-batch
 
     def _handle(
         self,
@@ -380,53 +392,32 @@ class Coordinator:
         selector: selectors.BaseSelector,
         clients: dict[socket.socket, _Client],
     ) -> None:
+        """Act on one frame.  A frame that breaks the protocol raises
+        :class:`~repro.errors.ProtocolError`, which drops only this peer
+        (see :meth:`_service`)."""
+        _check_fields(message)
         kind = message["type"]
         if kind == "hello":
             requested = message.get("protocol")
-            if requested not in range(
-                MIN_PROTOCOL_VERSION, PROTOCOL_VERSION + 1
-            ):
-                self._send(
-                    client,
-                    {
-                        "type": "error",
-                        "message": (
-                            f"protocol {requested!r} not in coordinator "
-                            f"range {MIN_PROTOCOL_VERSION}.."
-                            f"{PROTOCOL_VERSION}"
-                        ),
-                    },
+            if not is_current_protocol(requested):
+                raise ProtocolError(
+                    f"protocol {requested!r} refused; this coordinator "
+                    f"speaks only protocol {PROTOCOL_VERSION}"
                 )
-                self._drop(client, selector, clients)
-                return
             name = message.get("worker") or "worker"
             client.ident = f"{name}#{client.ident}"
             client.helloed = True
-            client.protocol = min(PROTOCOL_VERSION, requested)
-            client.compress = (
-                self.compress
-                and client.protocol >= 3
-                and bool(message.get("compress"))
-            )
             self._send(
                 client,
                 {
                     "type": "welcome",
-                    "protocol": client.protocol,
-                    "compress": client.compress,
+                    "protocol": PROTOCOL_VERSION,
                     "units_total": len(self.units),
                 },
             )
-            self.log(
-                f"{client.ident}: protocol v{client.protocol}, "
-                f"compression {'on' if client.compress else 'off'}"
-            )
+            self.log(f"{client.ident}: protocol v{PROTOCOL_VERSION}")
         elif not client.helloed:
-            self._send(
-                client,
-                {"type": "error", "message": "first message must be hello"},
-            )
-            self._drop(client, selector, clients)
+            raise ProtocolError("first message must be hello")
         elif kind == "request":
             lease = self._table.grant(client.ident)
             if lease is not None:
@@ -471,20 +462,16 @@ class Coordinator:
                 client,
                 {"type": "beat", "lease": lease_id, "held": held},
             )
-        elif kind == "result-part" and client.protocol >= 3:
+        elif kind == "result-part":
             self._merge_part(client, message)
         elif kind == "result":
             self._merge_result(client, message)
-        elif kind == "release" and client.protocol >= 3:
+        elif kind == "release":
             self._release_lease(client, message)
         elif kind == "bye":
             self._drop(client, selector, clients)
         else:
-            self._send(
-                client,
-                {"type": "error", "message": f"unknown message {kind!r}"},
-            )
-            self._drop(client, selector, clients)
+            raise ProtocolError(f"unknown message {kind!r}")
 
     def _wait_retry_s(self) -> float:
         """Adaptive idle-worker retry: sleep until the soonest active
@@ -575,13 +562,9 @@ class Coordinator:
         lease = self._table.active.get(lease_id)
         processed = len(completed) + len(failed)
         if lease is not None and processed:
-            elapsed = message.get("elapsed_s")
-            if elapsed is None:
-                # v2 worker: time the lease from the coordinator side
-                # (includes grant latency — a pessimistic but safe
-                # estimate).
-                elapsed = self._table.now() - lease.granted_at
-            self._table.observe(client.ident, processed, elapsed)
+            self._table.observe(
+                client.ident, processed, message.get("elapsed_s")
+            )
         settlement = self._table.settle(
             lease_id, completed=completed, failed=failed
         )

@@ -7,20 +7,20 @@ on the wire.  Payloads are UTF-8 JSON encoding one message object.
 Messages are plain dicts with a ``type`` field:
 
 worker -> coordinator
-    ``hello``       {type, worker, protocol, compress}
+    ``hello``       {type, worker, protocol}
     ``request``     {type}                      ask for a lease
     ``heartbeat``   {type, lease}               extend a lease deadline
-    ``result-part`` {type, lease,               v3: incremental records
+    ``result-part`` {type, lease,               incremental records
                      records: [RunRecord JSON]}    streamed mid-lease
     ``result``      {type, lease, records: [RunRecord JSON, ...],
                      failed: [{key, error}, ...], elapsed_s}
-    ``release``     {type, lease}               v3: hand back an
+    ``release``     {type, lease}               hand back an
                                                 unstarted prefetched
                                                 lease (drain/bye)
     ``bye``         {type}                      leaving voluntarily
 
 coordinator -> worker
-    ``welcome``    {type, protocol, compress, units_total}
+    ``welcome``    {type, protocol, units_total}
     ``lease``      {type, lease, deadline_s, units: [WorkUnit JSON, ...]}
     ``beat``       {type, lease, held}          heartbeat reply;
                                                 held=False means the
@@ -32,23 +32,13 @@ coordinator -> worker
     ``done``       {type}                       campaign complete
     ``error``      {type, message}              fatal, close connection
 
-Negotiation happens once, in ``hello``/``welcome``: each side states
-its protocol and whether it accepts compressed frames; the coordinator
-replies with the minimum version and the settled compression choice.
-A v2 peer never sees a flagged frame, a ``result-part`` or a
-``release`` — v3 features are gated on the negotiated version, so old
-workers keep serving new coordinators (and vice versa) byte-identically.
+Both peers speak exactly :data:`PROTOCOL_VERSION`: a ``hello`` or
+``welcome`` stating any other version is refused.  Every payload of at
+least :data:`COMPRESS_MIN` bytes is zlib-compressed when that shrinks
+it, in both directions.
 
 All correctness still lives in content keys — a frame can be lost,
 duplicated or replayed and the merge stays exact.
-
-Version history: v1 had fire-and-forget heartbeats and no ``failed``
-list; v2 acknowledges every heartbeat with ``beat`` and reports
-per-unit failures; v3 (current) adds handshake negotiation, zlib frame
-compression above :data:`COMPRESS_MIN`, incremental ``result-part``
-streaming, pipelined lease prefetch with explicit ``release``, and a
-worker-reported ``elapsed_s`` feeding the coordinator's adaptive lease
-sizing.
 
 The framing primitives are fault-injection sites (see
 :mod:`repro.faults`): ``socket.send`` can drop a frame, send a partial
@@ -76,8 +66,11 @@ from ..faults.runtime import fault_at
 #: Bump on any incompatible message change.
 PROTOCOL_VERSION = 3
 
-#: Oldest protocol this code still serves (negotiated in ``hello``).
-MIN_PROTOCOL_VERSION = 2
+
+def is_current_protocol(value: object) -> bool:
+    """Whether a peer-stated version is exactly :data:`PROTOCOL_VERSION`
+    — the int itself, so a JSON ``3.0`` is refused too."""
+    return type(value) is int and value == PROTOCOL_VERSION
 
 #: Hard per-frame ceiling — applied to the wire length *and* to the
 #: post-inflate size, so a compression bomb cannot expand past it.
@@ -150,8 +143,7 @@ def encode_frame(message: dict, compress: bool = False) -> bytes:
     With ``compress``, payloads of at least :data:`COMPRESS_MIN` bytes
     are deflated and the header's :data:`COMPRESS_FLAG` set — but only
     when that actually shrinks the frame (incompressible payloads ship
-    raw).  Callers must only set ``compress`` after the handshake
-    negotiated it: a v2 decoder treats a flagged header as garbage.
+    raw).
     """
     payload = json.dumps(message, separators=(",", ":")).encode("utf-8")
     if len(payload) > MAX_FRAME:
@@ -169,10 +161,10 @@ def encode_frame(message: dict, compress: bool = False) -> bytes:
 def send_message(
     sock: socket.socket,
     message: dict,
-    compress: bool = False,
     stats: WireStats | None = None,
 ) -> None:
-    """Send one framed message (blocking).
+    """Send one framed message (blocking), compressed when it is large
+    enough to gain (see :func:`encode_frame`).
 
     Fault site ``socket.send`` (token: the message ``type``): ``drop``
     loses the frame silently, ``partial`` writes half the frame then
@@ -185,7 +177,7 @@ def send_message(
     the frame with a typed ProtocolError (worker side reconnects;
     coordinator side fences the connection off).
     """
-    frame = encode_frame(message, compress=compress)
+    frame = encode_frame(message, compress=True)
     (header,) = _HEADER.unpack_from(frame)
     compressed = bool(header & COMPRESS_FLAG)
     if compressed:
@@ -272,9 +264,7 @@ class FrameDecoder:
     Feed raw bytes as they arrive; complete messages come back in
     order.  Tolerates frames split across arbitrarily many reads and
     multiple frames per read.  Compressed frames (header flag) inflate
-    transparently — the decoder always accepts them regardless of the
-    negotiated version, since decoding capability is what ``hello``
-    advertises.
+    transparently.
     """
 
     def __init__(self, stats: WireStats | None = None) -> None:

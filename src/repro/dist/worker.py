@@ -3,18 +3,15 @@
 ``run_worker`` connects to a coordinator, executes whatever work units
 it is leased (through the same executor registry the local pool uses,
 so any machine with the library importable can serve any unit kind),
-and streams the records back.  Against a v3 coordinator the loop is
-*pipelined*: as soon as a lease's units begin executing the worker
-requests the next lease, so the grant's network latency overlaps
-compute instead of serialising with it — one prefetched lease at most,
-heartbeats covering both held leases, and an explicit ``release``
-handing an unstarted prefetch back on drain.  Each completed unit
-ships immediately as a ``result-part`` frame (cutting peak frame size
-and tail latency); the final ``result`` frame carries only failures
-and the lease's ``elapsed_s``, which feeds the coordinator's adaptive
-lease sizing.  Against a v2 coordinator every one of these features
-gates off and the worker behaves exactly as before: one blocking lease
-at a time, one result frame at lease end, raw frames.
+and streams the records back.  The loop is *pipelined*: as soon as a
+lease's units begin executing the worker requests the next lease, so
+the grant's network latency overlaps compute instead of serialising
+with it — one prefetched lease at most, heartbeats covering both held
+leases, and an explicit ``release`` handing an unstarted prefetch back
+on drain.  Each completed unit ships immediately as a ``result-part``
+frame (cutting peak frame size and tail latency); the final ``result``
+frame carries only failures and the lease's ``elapsed_s``, which feeds
+the coordinator's adaptive lease sizing.
 
 One heartbeat round-trip happens per completed unit: the coordinator
 acknowledges with ``beat`` and ``held=False`` means the lease expired
@@ -34,8 +31,7 @@ Failure handling is explicit at every layer:
   jitter, re-hello, and resumed leasing; results that were in flight
   when the connection died are resent after the handshake and merge
   idempotently.  ``reconnect_timeout`` bounds the total outage ridden
-  out (0 disables reconnection: any loss is immediately fatal, the
-  pre-v2 behaviour);
+  out (0 disables reconnection: any loss is immediately fatal);
 * ``drain_check`` (wired to SIGTERM by the CLI) requests a graceful
   exit: the worker stops starting units, reports what it finished,
   releases its prefetched lease and leaves the rest of the current
@@ -60,10 +56,10 @@ from ..parallel.executor import SERIAL, ParallelConfig
 from ..parallel.plan import WorkUnit, execute_unit, run_units
 from ..rng import derive_seed
 from .protocol import (
-    MIN_PROTOCOL_VERSION,
     PROTOCOL_VERSION,
     FrameDecoder,
     WireStats,
+    is_current_protocol,
     recv_message,
     send_message,
 )
@@ -182,9 +178,6 @@ def run_worker(
     reconnect_timeout: float = RECONNECT_TIMEOUT_S,
     drain_check: Callable[[], bool] | None = None,
     log: Callable[[str], None] | None = None,
-    protocol: int = PROTOCOL_VERSION,
-    pipeline: bool = True,
-    compress: bool = True,
     stats: WorkerStats | None = None,
 ) -> int:
     """Serve one coordinator until it says ``done``; returns the number
@@ -203,10 +196,6 @@ def run_worker(
       any loss);
     * ``drain_check`` — polled between units; True requests a graceful
       drain (finish nothing new, release the leases, say ``bye``);
-    * ``protocol`` — highest protocol version to offer in ``hello``
-      (lowering it to 2 reproduces the synchronous v2 worker exactly);
-    * ``pipeline`` / ``compress`` — opt out of lease prefetching or
-      frame compression even when v3 is negotiated;
     * ``stats`` — a :class:`WorkerStats` to fill with grant/wire
       counters (benchmarks and tests).
 
@@ -258,9 +247,6 @@ def run_worker(
                     drain_check=drain_check,
                     connected=connected,
                     log=log,
-                    protocol=protocol,
-                    pipeline=pipeline,
-                    compress=compress,
                     stats=stats,
                 )
                 return session.run()
@@ -294,8 +280,7 @@ class _Session:
     """One connection's lifetime: handshake, resend, pipelined lease
     loop.
 
-    The session owns the three pieces of v3 state the synchronous loop
-    never needed:
+    The session owns the three pieces of pipelining state:
 
     * ``prefetch`` — a granted-but-unstarted ``lease`` message,
       buffered while the current lease executes (at most one);
@@ -322,9 +307,6 @@ class _Session:
         drain_check: Callable[[], bool] | None = None,
         connected: Callable[[], None] | None = None,
         log: Callable[[str], None] | None = None,
-        protocol: int = PROTOCOL_VERSION,
-        pipeline: bool = True,
-        compress: bool = True,
         stats: WorkerStats | None = None,
     ) -> None:
         self.sock = sock
@@ -336,29 +318,26 @@ class _Session:
         self.drain_check = drain_check
         self.connected = connected or (lambda: None)
         self.log = log or (lambda message: None)
-        self.protocol = protocol
-        self.pipeline = pipeline
-        self.compress_wanted = compress
         self.stats = stats if stats is not None else WorkerStats()
         self.decoder = FrameDecoder(stats=self.stats.wire)
-        self.negotiated = MIN_PROTOCOL_VERSION
-        self.send_compress = False
         self.prefetch: dict | None = None
         self.prefetch_pending = False
         self.done_seen = False
 
     # -- wire helpers ---------------------------------------------------
-    @property
-    def v3(self) -> bool:
-        return self.negotiated >= 3
-
     def _send(self, message: dict) -> None:
-        send_message(
-            self.sock,
-            message,
-            compress=self.send_compress,
-            stats=self.stats.wire,
+        send_message(self.sock, message, stats=self.stats.wire)
+
+    def _send_part(self, lease_id: int, record) -> None:
+        """Stream one completed record as a ``result-part``."""
+        self._send(
+            {
+                "type": "result-part",
+                "lease": lease_id,
+                "records": [record.to_json()],
+            }
         )
+        self.stats.parts_sent += 1
 
     def _recv(self) -> dict:
         reply = recv_message(self.sock, self.decoder)
@@ -389,8 +368,7 @@ class _Session:
             {
                 "type": "hello",
                 "worker": self.name,
-                "protocol": self.protocol,
-                "compress": bool(self.compress_wanted),
+                "protocol": PROTOCOL_VERSION,
             }
         )
         welcome = recv_message(self.sock, self.decoder)
@@ -407,28 +385,17 @@ class _Session:
             raise ProtocolError(
                 f"expected welcome, got {welcome['type']!r}"
             )
-        negotiated = welcome.get("protocol", MIN_PROTOCOL_VERSION)
-        if (
-            not isinstance(negotiated, int)
-            or isinstance(negotiated, bool)
-            or not MIN_PROTOCOL_VERSION <= negotiated <= self.protocol
-        ):
+        protocol = welcome.get("protocol")
+        if not is_current_protocol(protocol):
             raise ProtocolError(
-                f"coordinator negotiated unusable protocol "
-                f"{negotiated!r} (offered {self.protocol})"
+                f"coordinator welcomed with unusable protocol "
+                f"{protocol!r} (this worker speaks {PROTOCOL_VERSION})"
             )
-        self.negotiated = negotiated
-        self.send_compress = (
-            self.v3
-            and bool(self.compress_wanted)
-            and bool(welcome.get("compress"))
-        )
         self.connected()
         self.log(
             f"{self.name}: connected to coordinator (protocol "
-            f"v{self.negotiated}, compression "
-            f"{'on' if self.send_compress else 'off'}, "
-            f"{welcome.get('units_total')} units in plan)"
+            f"v{PROTOCOL_VERSION}, {welcome.get('units_total')} units in "
+            "plan)"
         )
 
     def _resend_stash(self) -> None:
@@ -492,7 +459,7 @@ class _Session:
             elif reply["type"] == "done":
                 self.done_seen = True
         if self.prefetch is not None:
-            if self.v3 and not self.done_seen:
+            if not self.done_seen:
                 self._send(
                     {"type": "release", "lease": self.prefetch["lease"]}
                 )
@@ -543,13 +510,11 @@ class _Session:
 
     def _maybe_prefetch(self, lease_id: int) -> None:
         """Pipeline the next request behind the current lease's
-        execution (v3 only; at most one outstanding).
+        execution (at most one outstanding).
 
         Fault site ``worker.prefetch``: ``skip`` falls back to the
         blocking request path for this lease, ``delay`` stalls the
         request send."""
-        if not (self.pipeline and self.v3):
-            return
         if self.prefetch is not None or self.prefetch_pending:
             return
         event = fault_at("worker.prefetch", token=lease_id)
@@ -648,14 +613,13 @@ class _Session:
         self._maybe_prefetch(lease_id)
         if self.delay > 0:
             time.sleep(self.delay)
-        records: list = []
         failed: list[dict] = []
         streamed = 0
         if not self.config.serial and len(units) > 1:
             pooled = self._execute_pooled(lease_id, units)
             if pooled is None:
                 return 0  # lease lost mid-map; work discarded
-            records, failed, streamed = pooled
+            failed, streamed = pooled
         else:
             for position, unit in enumerate(units):
                 if self.drain_check is not None and self.drain_check():
@@ -665,46 +629,25 @@ class _Session:
                         f"lease {lease_id}"
                     )
                     break
-                record = None
-                try:
-                    record = execute_unit(unit)
-                except Exception as exc:
-                    failed.append(
-                        {
-                            "key": unit.key,
-                            "error": f"{type(exc).__name__}: {exc}",
-                        }
-                    )
-                    self.log(f"{self.name}: unit {unit.key!r} failed: {exc}")
-                if record is not None:
-                    if self.v3:
-                        self._send(
-                            {
-                                "type": "result-part",
-                                "lease": lease_id,
-                                "records": [record.to_json()],
-                            }
-                        )
-                        self.stats.parts_sent += 1
-                        streamed += 1
-                    else:
-                        records.append(record)
+                streamed += self._execute_one(lease_id, unit, failed)
                 if not self._beat_both(lease_id):
-                    if self.done_seen:
-                        # Campaign complete: everything this lease
-                        # streamed already merged; the rest completed
-                        # elsewhere.
-                        return streamed
-                    self.log(
-                        f"{self.name}: lease {lease_id} no longer held; "
-                        f"discarding {len(records)} in-flight record(s) "
-                        f"and {len(failed)} failure report(s)"
-                    )
+                    # Streamed records already merged.  After ``done``
+                    # the rest completed elsewhere; otherwise the
+                    # reassignment owns the unstarted units.
+                    if not self.done_seen:
+                        self.log(
+                            f"{self.name}: lease {lease_id} no longer "
+                            f"held; discarding {len(failed)} failure "
+                            f"report(s), leaving "
+                            f"{len(units) - position - 1} unstarted "
+                            "unit(s) to the new holder"
+                        )
                     return streamed
+        # Every record already streamed; ``result`` settles the lease.
         result = {
             "type": "result",
             "lease": lease_id,
-            "records": [record.to_json() for record in records],
+            "records": [],
             "failed": failed,
             "elapsed_s": time.monotonic() - started,
         }
@@ -721,36 +664,45 @@ class _Session:
         self.stats.leases_served += 1
         self.log(
             f"{self.name}: lease {lease_id} done "
-            f"({streamed + len(records)} records, {len(failed)} failed)"
+            f"({streamed} records, {len(failed)} failed)"
         )
-        return streamed + len(records)
+        return streamed
+
+    def _execute_one(
+        self, lease_id: int, unit: WorkUnit, failed: list[dict]
+    ) -> int:
+        """Execute one unit in-process and stream its record (returns
+        1), or append its failure report to ``failed`` (returns 0)."""
+        try:
+            record = execute_unit(unit)
+        except Exception as exc:
+            failed.append(
+                {"key": unit.key, "error": f"{type(exc).__name__}: {exc}"}
+            )
+            self.log(f"{self.name}: unit {unit.key!r} failed: {exc}")
+            return 0
+        self._send_part(lease_id, record)
+        return 1
 
     def _execute_pooled(
         self, lease_id: int, units: list[WorkUnit]
-    ) -> tuple[list, list[dict], int] | None:
+    ) -> tuple[list[dict], int] | None:
         """Execute a lease through the process pool (``jobs > 1``).
 
-        Each completed chunk streams a ``result-part`` (v3) and a
-        heartbeat; the acks are drained afterwards (the socket buffers
-        them).  A pool failure cannot name the culprit unit, so the
-        lease falls back to per-unit in-process execution to attribute
-        it.  Returns None when the lease was lost (acks said
-        ``held=False``) — the caller discards everything.
+        Each completed chunk streams a ``result-part`` and a heartbeat;
+        the acks are drained afterwards (the socket buffers them).  A
+        pool failure cannot name the culprit unit, so the lease falls
+        back to per-unit in-process execution to attribute it.  Returns
+        None when the lease was lost (acks said ``held=False``) — the
+        caller discards everything.
         """
         beats_sent = 0
         streamed = 0
 
         def beat(_index: int, record) -> None:
             nonlocal beats_sent, streamed
-            if self.v3 and record is not None:
-                self._send(
-                    {
-                        "type": "result-part",
-                        "lease": lease_id,
-                        "records": [record.to_json()],
-                    }
-                )
-                self.stats.parts_sent += 1
+            if record is not None:
+                self._send_part(lease_id, record)
                 streamed += 1
             event = fault_at("worker.heartbeat", token=lease_id)
             if event is not None and event.kind == "drop":
@@ -766,11 +718,7 @@ class _Session:
 
         failed: list[dict] = []
         try:
-            records = run_units(units, self.config, on_record=beat)
-            if self.v3:
-                # Everything healthy already streamed as parts; the
-                # final result only needs the failures (and timing).
-                records = []
+            run_units(units, self.config, on_record=beat)
         except ResultHookError as exc:
             # The beat hook is the only on_record here, so a hook
             # failure is a send failure: the connection is gone.
@@ -782,19 +730,8 @@ class _Session:
                 f"{self.name}: pooled lease {lease_id} failed ({exc}); "
                 "re-running per unit to attribute"
             )
-            records = []
             for unit in units:
-                try:
-                    records.append(execute_unit(unit))
-                except Exception as unit_exc:
-                    failed.append(
-                        {
-                            "key": unit.key,
-                            "error": (
-                                f"{type(unit_exc).__name__}: {unit_exc}"
-                            ),
-                        }
-                    )
+                streamed += self._execute_one(lease_id, unit, failed)
         held = True
         for _ in range(beats_sent):
             if not self._await_beat(lease_id):
@@ -808,4 +745,4 @@ class _Session:
                 f"discarding {len(units)} pooled unit result(s)"
             )
             return None
-        return records, failed, streamed
+        return failed, streamed

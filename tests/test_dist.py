@@ -386,7 +386,8 @@ class TestCoordinatorWorker:
         assert second == len(units) - 1
         assert box["records"] == expected
 
-    def test_protocol_mismatch_fenced_off(self):
+    @pytest.mark.parametrize("protocol", [2, 999])
+    def test_protocol_mismatch_fenced_off(self, protocol):
         units = _plan(n=1)
         coordinator = Coordinator(units)
         host, port = coordinator.bind()
@@ -395,7 +396,7 @@ class TestCoordinatorWorker:
         sock.settimeout(10)
         decoder = FrameDecoder()
         send_message(
-            sock, {"type": "hello", "worker": "old", "protocol": 999}
+            sock, {"type": "hello", "worker": "old", "protocol": protocol}
         )
         reply = recv_message(sock, decoder)
         assert reply["type"] == "error"
@@ -404,6 +405,34 @@ class TestCoordinatorWorker:
         run_worker(host, port)  # a current worker still completes
         thread.join(timeout=30)
         assert "records" in box
+
+    @pytest.mark.parametrize(
+        "frame",
+        [
+            {"type": "heartbeat", "lease": [1]},
+            {"type": "result", "failed": ["boom"]},
+            {"type": "result", "records": [1]},
+        ],
+        ids=["list-lease", "str-failure", "int-record"],
+    )
+    def test_malformed_frame_drops_only_its_peer(self, frame):
+        # A typed frame with wrongly shaped fields costs the sender its
+        # connection (and its lease), never the whole campaign.
+        units = _plan(n=2)
+        coordinator = Coordinator(units)
+        host, port = coordinator.bind()
+        thread, box = _serve_in_thread(coordinator)
+        sock, decoder = _fake_worker(host, port, name="mangler")
+        send_message(sock, {"type": "request"})
+        lease = recv_message(sock, decoder)
+        assert lease["type"] == "lease"
+        send_message(sock, {"lease": lease["lease"], **frame})
+        reply = recv_message(sock, decoder)
+        assert reply["type"] == "error"
+        sock.close()
+        run_worker(host, port)
+        thread.join(timeout=30)
+        assert box["records"] == run_units(units)
 
     def test_hello_required_first(self):
         units = _plan(n=1)
@@ -446,7 +475,7 @@ class TestCoordinatorWorker:
         try:
             with pytest.raises(WorkerExitError):
                 # reconnect_timeout=0 opts out of ride-it-out backoff so a
-                # vanished coordinator is immediately fatal, as before v2.
+                # vanished coordinator is immediately fatal.
                 run_worker(host, port, connect_timeout=5, reconnect_timeout=0)
         finally:
             thread.join(timeout=10)

@@ -10,8 +10,7 @@ at every layer boundary:
   hypothesis fuzz of the inflate path — bit flips, truncation, bombs
   and trailing bytes must all surface as typed
   :class:`~repro.errors.ProtocolError`, never anything else;
-* the v3<->v2 handshake downgrade in both directions (old worker on a
-  new coordinator, new worker told to speak v2);
+* the handshake refusing any protocol but the current one;
 * lease pipelining and ``result-part`` streaming end to end, with the
   byte-identity contract checked against a serial run.
 """
@@ -264,9 +263,7 @@ class TestFrameCompression:
         left, right = socket.socketpair()
         out_stats, in_stats = WireStats(), WireStats()
         try:
-            send_message(
-                left, _big_message(), compress=True, stats=out_stats
-            )
+            send_message(left, _big_message(), stats=out_stats)
             decoder = FrameDecoder(stats=in_stats)
             assert recv_message(right, decoder) == _big_message()
         finally:
@@ -347,102 +344,11 @@ class TestCompressedFrameFuzz:
 
 
 # ---------------------------------------------------------------------------
-# Handshake negotiation / downgrade
+# Handshake: one protocol version, refused otherwise
 
 
 class TestHandshakeDowngrade:
-    def test_v2_worker_served_by_v3_coordinator(self):
-        units = _units(n=1)
-        coordinator = Coordinator(units, compress=True)
-        host, port = coordinator.bind()
-        thread, box = _serve_in_thread(coordinator)
-        sock = socket.create_connection((host, port), timeout=10)
-        sock.settimeout(10)
-        decoder = FrameDecoder()
-        try:
-            send_message(
-                sock,
-                {
-                    "type": "hello",
-                    "worker": "legacy",
-                    "protocol": 2,
-                    "compress": True,  # v2 asking for it changes nothing
-                },
-            )
-            welcome = recv_message(sock, decoder)
-            assert welcome["type"] == "welcome"
-            assert welcome["protocol"] == 2
-            assert welcome["compress"] is False
-            send_message(sock, {"type": "request"})
-            lease = recv_message(sock, decoder)
-            assert lease["type"] == "lease"
-            records = run_units(units, SERIAL)
-            send_message(
-                sock,
-                {
-                    "type": "result",
-                    "lease": lease["lease"],
-                    "records": [r.to_json() for r in records],
-                },
-            )
-            assert recv_message(sock, decoder)["type"] == "done"
-        finally:
-            sock.close()
-        thread.join(timeout=30)
-        assert [r.key for r in box["records"]] == [u.key for u in units]
-
-    def test_v3_features_fenced_off_from_v2_connections(self):
-        units = _units(n=1)
-        coordinator = Coordinator(units)
-        host, port = coordinator.bind()
-        thread, box = _serve_in_thread(coordinator)
-        sock = socket.create_connection((host, port), timeout=10)
-        sock.settimeout(10)
-        decoder = FrameDecoder()
-        try:
-            send_message(
-                sock, {"type": "hello", "worker": "old", "protocol": 2}
-            )
-            assert recv_message(sock, decoder)["type"] == "welcome"
-            # A v2 connection sending a v3-only frame is a protocol
-            # violation, not a silent no-op.
-            send_message(sock, {"type": "result-part", "lease": 1})
-            reply = recv_message(sock, decoder)
-            assert reply["type"] == "error"
-            assert "result-part" in reply["message"]
-        finally:
-            sock.close()
-        run_worker(host, port)  # a real worker finishes the campaign
-        thread.join(timeout=30)
-        assert "records" in box
-
-    def test_worker_accepts_a_v2_downgrade(self):
-        left, right = socket.socketpair()
-        left.settimeout(10)
-        right.settimeout(10)
-        try:
-            send_message(
-                left,
-                {
-                    "type": "welcome",
-                    "protocol": 2,
-                    "compress": True,  # lying coordinator: v2 wins
-                    "units_total": 0,
-                },
-            )
-            session = _Session(right, name="w", protocol=3, compress=True)
-            session._handshake()
-            assert session.negotiated == 2
-            assert not session.v3
-            assert session.send_compress is False
-            hello = recv_message(left, FrameDecoder())
-            assert hello["protocol"] == 3
-            assert hello["compress"] is True
-        finally:
-            left.close()
-            right.close()
-
-    @pytest.mark.parametrize("negotiated", [5, 1, True, "3", None])
+    @pytest.mark.parametrize("negotiated", [5, 2, 1, True, "3", 3.0, None])
     def test_worker_refuses_an_unusable_negotiation(self, negotiated):
         left, right = socket.socketpair()
         left.settimeout(10)
@@ -456,8 +362,8 @@ class TestHandshakeDowngrade:
                     "units_total": 0,
                 },
             )
-            session = _Session(right, name="w", protocol=3)
-            with pytest.raises(ProtocolError, match="negotiated"):
+            session = _Session(right, name="w")
+            with pytest.raises(ProtocolError, match="unusable protocol"):
                 session._handshake()
         finally:
             left.close()
@@ -472,7 +378,7 @@ class TestPipelining:
     def test_pipelined_campaign_is_byte_identical_to_serial(self):
         units = _units(n=12)
         reference = run_units(units, SERIAL)
-        coordinator = Coordinator(units, compress=True)
+        coordinator = Coordinator(units)
         host, port = coordinator.bind()
         thread, box = _serve_in_thread(coordinator)
         stats = WorkerStats()
@@ -495,7 +401,6 @@ class TestPipelining:
         logs = []
         try:
             session = _Session(right, name="w", log=logs.append)
-            session.negotiated = 3
             session.prefetch = {"type": "lease", "lease": 9, "units": []}
             session._retire("drain test")
             decoder = FrameDecoder()
@@ -518,7 +423,6 @@ class TestPipelining:
                 left, {"type": "lease", "lease": 4, "units": []}
             )
             session = _Session(right, name="w")
-            session.negotiated = 3
             session.prefetch_pending = True
             session._retire("drain test")
             decoder = FrameDecoder()
@@ -538,7 +442,6 @@ class TestPipelining:
         try:
             send_message(left, {"type": "done"})
             session = _Session(right, name="w")
-            session.negotiated = 3
             session.prefetch_pending = True
             session._retire("drain test")
             assert session.done_seen
@@ -640,9 +543,3 @@ class TestCliLeaseFlags:
         args = self._parser().parse_args(["experiment", "table5"])
         assert args.units_per_lease is None
         assert args.lease_target_s == pytest.approx(2.0)
-
-    def test_legacy_lease_units_alias_still_parses(self):
-        args = self._parser().parse_args(
-            ["coordinate", "table5", "--lease-units", "4"]
-        )
-        assert args.units_per_lease == 4

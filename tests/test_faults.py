@@ -540,9 +540,9 @@ class TestHeartbeatDiscard:
             left.close()
             right.close()
 
-    def test_lost_lease_discards_in_flight_work(self):
+    def test_lost_lease_discards_in_flight_work(self, monkeypatch):
         # held=False on a heartbeat ack means the lease was reassigned:
-        # the worker must drop its records, not report stale duplicates.
+        # the worker must stop, not run or report the rest of it.
         left, right = socket.socketpair()
         left.settimeout(10)
         right.settimeout(10)
@@ -552,11 +552,25 @@ class TestHeartbeatDiscard:
             "lease": 7,
             "units": [u.to_json() for u in units],
         }
+        ran = []
+
+        def counted(unit):
+            ran.append(unit.key)
+            return execute_unit(unit)
+
+        monkeypatch.setattr("repro.dist.worker.execute_unit", counted)
         logs = []
         box = {}
 
         def fake_coordinator():
             decoder = FrameDecoder()
+            # The pipelined request for the next lease goes out first
+            # (left unanswered), then the first unit streams.
+            assert recv_message(left, decoder) == {"type": "request"}
+            part = recv_message(left, decoder)
+            assert part["type"] == "result-part"
+            assert part["lease"] == 7
+            assert [r["key"] for r in part["records"]] == [units[0].key]
             beat = recv_message(left, decoder)
             assert beat == {"type": "heartbeat", "lease": 7}
             send_message(
@@ -573,7 +587,8 @@ class TestHeartbeatDiscard:
         right.close()
         thread.join(timeout=10)
         left.close()
-        assert executed == 0
+        assert ran == [units[0].key]  # the second unit never ran
+        assert executed == 1  # the streamed record already merged
         assert box["after"] is None  # no result frame was ever sent
         assert any("discarding" in line for line in logs)
 
@@ -624,6 +639,30 @@ class TestQuarantineEndToEnd:
         assert set(error.quarantined) == {poison}
         assert "3 failed attempts" in error.quarantined[poison]
         assert "FaultInjected" in error.quarantined[poison]
+        with suppress_faults():
+            healthy = run_units([u for u in units if u.key != poison])
+        assert error.records == healthy
+
+    def test_pooled_lease_attributes_the_poison_unit(self):
+        # A pool failure cannot name its culprit: the worker re-runs the
+        # lease unit by unit, streaming the healthy records and
+        # reporting the poison one as failed.
+        units = _units(n=3)
+        poison = units[1].key
+        install(
+            _plan(FaultSpec("unit.execute", "raise", match=poison)),
+            role="worker",
+        )
+        logs = []
+        coordinator = Coordinator(units, units_per_lease=3, max_attempts=2)
+        host, port = coordinator.bind()
+        thread, box = _serve_in_thread(coordinator)
+        run_worker(host, port, name="w", jobs=2, log=logs.append)
+        thread.join(timeout=60)
+        assert any("re-running per unit" in line for line in logs)
+        error = box["error"]
+        assert isinstance(error, QuarantineError)
+        assert set(error.quarantined) == {poison}
         with suppress_faults():
             healthy = run_units([u for u in units if u.key != poison])
         assert error.records == healthy
